@@ -285,8 +285,8 @@ impl CaseStudy {
     /// An ad-hoc study around an arbitrary kernel: no verification oracle
     /// and no declared flop count (`flops: 0`, so consumers fall back to
     /// the simulator's dynamic count). This is how wire-built kernels —
-    /// `gpa-service`'s `KernelSpec::Custom` and its `analyze_kernel`
-    /// shim — enter the same [`run_study`] path as the case studies.
+    /// `gpa-service`'s `KernelSpec::Custom` — enter the same
+    /// [`run_study`] path as the case studies.
     pub fn adhoc(
         kernel: Kernel,
         launch: LaunchConfig,
@@ -400,11 +400,6 @@ pub fn run_case(
     };
 
     let mut timing = TimingSim::new(machine);
-    // The same worker selection drives both phases: block execution in the
-    // functional pass and cluster replay in the timing pass (the uniform
-    // Homogeneous mode replays one cluster, so it stays single-worker
-    // regardless).
-    timing.set_threads(opts.threads);
     let tex: Vec<(u64, u64)> = regions
         .iter()
         .filter(|r| r.texture)
@@ -427,8 +422,8 @@ pub fn run_case(
                 .run_block(&mut trace_mem, 0, &mut scratch)?
                 .expect("trace collection enabled");
             timing.assume_uniform_clusters(true);
-            let mut src = TraceSource::Homogeneous(Arc::new(trace));
-            let t = timing.run(&mut src, &launch, kernel.resources);
+            let src = TraceSource::Homogeneous(Arc::new(trace));
+            let t = timing.run(&src, &launch, kernel.resources);
             // The replay is done with the trace: recycle its buffers for
             // the next traced run (a no-op if anyone still holds it).
             gpa_sim::trace_pool::reclaim(src);
@@ -446,8 +441,8 @@ pub fn run_case(
             func.collect_traces(true);
             let out = func.run(gmem)?;
             let traces = out.traces.expect("trace collection enabled");
-            let mut src = TraceSource::from_blocks(traces);
-            let t = timing.run(&mut src, &launch, kernel.resources);
+            let src = TraceSource::from_blocks(traces);
+            let t = timing.run(&src, &launch, kernel.resources);
             gpa_sim::trace_pool::reclaim(src);
             (t, out.stats)
         }
@@ -462,7 +457,7 @@ pub fn run_case(
             let mut traces = out.traces.expect("trace collection enabled");
             let uniform = !regions.iter().any(|r| r.texture)
                 && traces.windows(2).all(|w| w[0].shape_eq(&w[1]));
-            let mut src = if uniform {
+            let src = if uniform {
                 // Block 0 executes against pre-launch memory in every
                 // engine configuration, so its trace here is exactly
                 // the trace the Homogeneous arm collects — this branch
@@ -477,7 +472,7 @@ pub fn run_case(
             } else {
                 TraceSource::from_blocks(traces)
             };
-            let t = timing.run(&mut src, &launch, kernel.resources);
+            let t = timing.run(&src, &launch, kernel.resources);
             gpa_sim::trace_pool::reclaim(src);
             (t, out.stats)
         }

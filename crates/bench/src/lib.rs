@@ -25,7 +25,8 @@
 //! release mode (`cargo run --release -p gpa-bench --bin fig4`). Passing
 //! `--paper` selects the paper's full problem sizes; `--threads N` (or
 //! `--par`) shards block simulation across worker threads with
-//! bit-identical output. `EXPERIMENTS.md` records a full transcript.
+//! bit-identical output. The README's "Regenerating the paper's exhibits"
+//! section maps every binary to its paper exhibit.
 //!
 //! `benches/primitives.rs` holds Criterion microbenchmarks of the
 //! simulator substrate itself (coalescer, bank conflicts, functional and

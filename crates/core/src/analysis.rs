@@ -328,7 +328,6 @@ impl<'m> Model<'m> {
 
     /// Run the model on one extracted launch.
     pub fn analyze(&mut self, input: &ModelInput) -> Analysis {
-        let blocks = input.stats.blocks.max(1);
         let mut stages = Vec::with_capacity(input.stats.stages.len());
         let mut serialized = 0.0;
         for (i, s) in input.stats.stages.iter().enumerate() {
@@ -372,7 +371,6 @@ impl<'m> Model<'m> {
             totals.second_bottleneck()
         };
 
-        let _ = blocks;
         Analysis {
             kernel_name: input.kernel_name.clone(),
             machine_name: self.machine.name.clone(),

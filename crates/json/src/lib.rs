@@ -104,6 +104,7 @@ impl Value {
     /// Parse a complete JSON document (trailing garbage is an error).
     pub fn parse(text: &str) -> Result<Value, Error> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
             depth: 0,
@@ -309,6 +310,7 @@ fn write_string(out: &mut String, s: &str) {
 const MAX_DEPTH: u32 = 128;
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: u32,
@@ -493,12 +495,14 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is &str, so valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| Error::at("invalid UTF-8", self.pos))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next quote or escape.
+                    // Both are ASCII, so the run ends on a char boundary
+                    // of the (already valid) input and needs no
+                    // re-validation; each byte is visited once.
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -631,5 +635,35 @@ mod tests {
         assert!(Value::parse("[1] trailing").is_err());
         assert!(Value::parse("nul").is_err());
         assert!(Value::parse("{\"a\" 1}").is_err());
+    }
+
+    #[test]
+    fn strings_mix_runs_escapes_and_multibyte_chars() {
+        let v = Value::parse(r#""ab\"c\\d\u00e9é→\n""#).unwrap();
+        assert_eq!(v.as_str().unwrap(), "ab\"c\\déé→\n");
+        assert_eq!(Value::parse(r#""""#).unwrap().as_str().unwrap(), "");
+        let err = Value::parse("\"abc").unwrap_err();
+        assert!(err.to_string().contains("unterminated string"), "{err}");
+        let err = Value::parse(r#""a\q""#).unwrap_err();
+        assert!(err.to_string().contains("invalid escape"), "{err}");
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // 1 MiB of string body, multi-byte chars and escapes included:
+        // a parser that re-scans the remaining input per character takes
+        // minutes here; a linear one takes milliseconds even unoptimized.
+        let chunk = "asm r0, r1 // é→\\n\\\"";
+        let body = chunk.repeat((1 << 20) / chunk.len());
+        let text = format!("\"{body}\"");
+        let start = std::time::Instant::now();
+        let v = Value::parse(&text).unwrap();
+        let elapsed = start.elapsed();
+        let expect = "asm r0, r1 // é→\n\"".repeat((1 << 20) / chunk.len());
+        assert_eq!(v.as_str().unwrap(), expect);
+        assert!(
+            elapsed < std::time::Duration::from_secs(1),
+            "1 MiB string took {elapsed:?}"
+        );
     }
 }

@@ -54,7 +54,6 @@ use gpa_apps::workflow::{run_study, CaseError, CaseStudy, Region, TraceMode};
 use gpa_apps::{matmul, spmv, tridiag};
 use gpa_core::{Analysis, InputError, Model, ModelInput, WhatIf};
 use gpa_hw::Machine;
-use gpa_isa::Kernel;
 use gpa_sim::{GlobalMemory, LaunchConfig, SimEngine, SimError, Threads};
 use gpa_ubench::{MeasureOpts, ThroughputCurves};
 use std::fmt;
@@ -1224,51 +1223,6 @@ impl Analyzer {
         })
     }
 
-    /// Answer one ad-hoc kernel against a calibrated profile, with
-    /// caller-owned device memory.
-    ///
-    /// **Deprecated-style shim**: this predates the portable kernel
-    /// encoding and survives for in-process callers that already hold a
-    /// [`Kernel`] and a prepared [`GlobalMemory`]. New code should
-    /// submit [`KernelSpec::Custom`] through [`Analyzer::analyze`]
-    /// instead — it takes the same unified path this shim now delegates
-    /// to, works over the wire, and reports become portable (side
-    /// effects via [`AnalysisReport::outputs`] rather than `&mut`
-    /// memory). Side effects still land in `gmem` exactly as before.
-    ///
-    /// # Errors
-    ///
-    /// Unknown machine, simulation, or extraction errors; also
-    /// [`ServiceError::InvalidRequest`] when `options.verify` is set —
-    /// ad-hoc kernels carry no reference oracle, so the request would
-    /// otherwise silently go unchecked.
-    #[allow(clippy::too_many_arguments)] // mirrors run_case: one per pipeline input
-    pub fn analyze_kernel(
-        &self,
-        selector: &str,
-        kernel: &Kernel,
-        launch: LaunchConfig,
-        params: &[u32],
-        gmem: &mut GlobalMemory,
-        regions: &[Region],
-        options: &AnalysisOptions,
-    ) -> Result<AnalysisReport, ServiceError> {
-        let entry = self.lookup(selector)?;
-        let mut study = CaseStudy::adhoc(
-            kernel.clone(),
-            launch,
-            params.to_vec(),
-            std::mem::take(gmem),
-            regions.to_vec(),
-            options.mode.unwrap_or(TraceMode::Homogeneous),
-        );
-        let result = self.analyze_prepared(entry, &mut study, options);
-        // Hand the (possibly mutated) image back so callers observe side
-        // effects exactly as under the pre-shim implementation.
-        *gmem = study.gmem;
-        result
-    }
-
     /// Answer a batch, sharding the independent requests across one
     /// worker per available CPU core. Per-request results (including
     /// per-request failures) come back in request order and are
@@ -1463,7 +1417,7 @@ mod tests {
     }
 
     #[test]
-    fn analyze_kernel_refuses_unverifiable_verify() {
+    fn custom_kernel_refuses_unverifiable_verify() {
         use gpa_isa::builder::KernelBuilder;
         let mut analyzer = Analyzer::new();
         analyzer
@@ -1473,21 +1427,17 @@ mod tests {
         b.set_threads(32);
         b.exit();
         let kernel = b.finish().unwrap();
-        let mut gmem = GlobalMemory::new();
-        let err = analyzer
-            .analyze_kernel(
-                "gtx285",
-                &kernel,
-                LaunchConfig::new_1d(1, 32),
-                &[],
-                &mut gmem,
-                &[],
-                &AnalysisOptions {
-                    verify: true,
-                    ..AnalysisOptions::default()
-                },
-            )
-            .unwrap_err();
+        let mut req = AnalysisRequest::new(
+            KernelSpec::Custom(Box::new(CustomKernel {
+                asm: gpa_isa::asm::kernel_to_asm(&kernel),
+                launch: LaunchConfig::new_1d(1, 32),
+                params: Vec::new(),
+                memory: Vec::new(),
+            })),
+            "gtx285",
+        );
+        req.options.verify = true;
+        let err = analyzer.analyze(&req).unwrap_err();
         assert!(matches!(err, ServiceError::InvalidRequest(_)), "{err}");
     }
 

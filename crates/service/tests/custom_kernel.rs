@@ -3,13 +3,16 @@
 //! * **Property**: a random `KernelBuilder` kernel pushed through the
 //!   full wire path — `kernel_to_asm` → `KernelSpec::Custom` → JSON →
 //!   parse → `Analyzer::analyze` — answers **bit-identically** to the
-//!   in-process `analyze_kernel` shim on the same kernel, launch, and
-//!   memory (stats, analysis, traffic, flops), with the report's
-//!   `outputs` readback equal to the shim's caller-owned memory.
+//!   in-process workflow (`gpa_apps::workflow::run_case` on the
+//!   analyzer's own machine and curves) over the same kernel object,
+//!   launch, and caller-owned memory (analysis, measured time, traffic,
+//!   flops), with the report's `outputs` readback equal to that memory.
 //! * **Negative**: malformed assembly and memory-image specs are typed
 //!   [`ServiceError`]s in-process and clean HTTP 400s through the
 //!   server's route table — never panics.
 
+use gpa_apps::workflow::{run_case, CaseOpts, Region, TraceMode};
+use gpa_core::Model;
 use gpa_hw::Machine;
 use gpa_isa::asm::kernel_to_asm;
 use gpa_isa::instr::{CmpOp, MemAddr, NumTy, SpecialReg, Width};
@@ -19,6 +22,7 @@ use gpa_service::{
     ParamValue, ServiceError, CUSTOM_REGION_ALIGN, MAX_CUSTOM_MEMORY_BYTES,
     MAX_CUSTOM_READBACK_BYTES,
 };
+use gpa_sim::stats::GRAN_GT200;
 use gpa_sim::{GlobalMemory, LaunchConfig};
 use gpa_ubench::MeasureOpts;
 use proptest::prelude::*;
@@ -129,16 +133,26 @@ proptest! {
         let kernel = random_kernel(seed, threads);
         let launch = LaunchConfig::new_1d(grid, threads);
         let out_len = u64::from(grid) * u64::from(threads) * 4;
-        let options = AnalysisOptions::default();
 
-        // In-process path: caller-owned memory through the shim.
+        // In-process path: the kernel object itself through the workflow,
+        // with caller-owned memory, in the wire path's default trace mode
+        // and thread selection.
         let mut gmem = GlobalMemory::new();
         let out = gmem.alloc(out_len, CUSTOM_REGION_ALIGN);
-        let regions = vec![gpa_apps::workflow::Region::new("out", out, out_len)];
-        let in_process = analyzer
-            .analyze_kernel("gtx285", &kernel, launch, &[out as u32], &mut gmem,
-                            &regions, &options)
-            .expect("in-process analysis");
+        let regions = vec![Region::new("out", out, out_len)];
+        let machine = analyzer.machine("gtx285").unwrap();
+        let mut model = Model::with_curves(machine, analyzer.curves("gtx285").unwrap());
+        let in_process = run_case(
+            machine,
+            &mut model,
+            &kernel,
+            launch,
+            &[out as u32],
+            &mut gmem,
+            &regions,
+            CaseOpts::new(TraceMode::Auto, AnalysisOptions::default().threads),
+        )
+        .expect("in-process analysis");
 
         // Wire path: the same kernel as asm + declarative memory, routed
         // through JSON both ways.
@@ -166,18 +180,25 @@ proptest! {
         prop_assert_eq!(&wire_back, &wire);
         prop_assert_eq!(wire_back.to_json(), report_json);
 
-        // Readback must equal the shim's caller-owned memory image.
+        // Readback must equal the caller-owned memory image.
         prop_assert_eq!(wire.outputs.len(), 1);
         prop_assert_eq!(&wire.outputs[0].name, "out");
-        let shim_words = gmem
+        let words = gmem
             .read_u32s(out, (out_len / 4) as usize)
             .expect("out region readable");
-        prop_assert_eq!(&wire.outputs[0].words, &shim_words, "side effects diverge");
+        prop_assert_eq!(&wire.outputs[0].words, &words, "side effects diverge");
 
         // And everything else is bit-identical between the two paths.
-        let mut wire_sans_outputs = wire.clone();
-        wire_sans_outputs.outputs.clear();
-        prop_assert_eq!(&wire_sans_outputs, &in_process, "reports diverge (seed {:#x})", seed);
+        prop_assert_eq!(&wire.kernel, &in_process.input.kernel_name);
+        prop_assert_eq!(&wire.analysis, &in_process.analysis, "analysis diverges (seed {:#x})", seed);
+        prop_assert_eq!(wire.measured_seconds.to_bits(), in_process.timing.seconds.to_bits());
+        prop_assert_eq!(wire.measured_cycles.to_bits(), in_process.timing.cycles.to_bits());
+        prop_assert_eq!(wire.flops, in_process.input.stats.total().flops);
+        let traffic = &in_process.input.stats.regions[0];
+        let attributed = wire.region("out").expect("out region attributed");
+        prop_assert_eq!(attributed.transactions, traffic.gmem[GRAN_GT200].transactions);
+        prop_assert_eq!(attributed.bytes, traffic.gmem[GRAN_GT200].bytes);
+        prop_assert_eq!(attributed.requested_bytes, traffic.requested_bytes);
         prop_assert!(wire.flops > 0, "dynamic flop count should be honest, got 0");
     }
 }

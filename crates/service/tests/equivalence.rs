@@ -104,10 +104,10 @@ fn batch_is_identical_to_sequential_analyze() {
 
 #[test]
 fn case_study_reports_are_bit_identical_for_every_thread_count() {
-    // The three case studies end-to-end (functional pass, parallel
+    // The three case studies end-to-end (block-sharded functional pass,
     // timing replay, model analysis): the worker-thread knob must never
-    // leak into the answer. PerBlock mode exercises the sharded cluster
-    // replay; the default mode rides the uniform fast path.
+    // leak into the answer. PerBlock mode replays every cluster from
+    // per-block traces; the default mode rides the uniform fast path.
     use gpa_service::RequestTraceMode;
     let analyzer = analyzer();
     for base in case_requests() {

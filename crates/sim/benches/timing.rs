@@ -1,15 +1,13 @@
-//! Timing-replay benchmarks: the sequential cluster walk against the
-//! sharded parallel walk, on an identical per-block workload. The two
-//! must produce bit-identical [`gpa_sim::TimingResult`]s (asserted here
-//! once, property-tested in `tests/timing_equivalence.rs`); only
-//! wall-clock may differ, and on a multi-core runner `sim/timing_par`
-//! should beat `sim/timing_seq`.
+//! Timing-replay benchmark: the sequential cluster walk over a
+//! matmul-shaped per-block workload that keeps every cluster busy, so
+//! the full-grid replay path (not the uniform one-cluster shortcut) is
+//! what gets timed.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gpa_hw::{InstrClass, KernelResources, Machine};
 use gpa_mem::coalesce::Transaction;
 use gpa_sim::stats::{BlockTrace, DstLatency, TraceEntry};
-use gpa_sim::{LaunchConfig, Threads, TimingSim, TraceSource};
+use gpa_sim::{LaunchConfig, TimingSim, TraceSource};
 use std::hint::black_box;
 use std::sync::Arc;
 
@@ -87,23 +85,10 @@ fn bench_timing(c: &mut Criterion) {
     let machine = Machine::gtx285();
     let (blocks, launch, res) = workload();
 
-    let run = |threads: Threads| {
-        let mut sim = TimingSim::new(&machine);
-        sim.set_threads(threads);
-        let mut src = TraceSource::PerBlock(blocks.clone());
-        sim.run(&mut src, &launch, res)
-    };
-    assert_eq!(
-        run(Threads::sequential()),
-        run(Threads::Auto),
-        "parallel replay must be bit-identical to sequential"
-    );
-
+    let sim = TimingSim::new(&machine);
+    let src = TraceSource::PerBlock(blocks);
     c.bench_function("sim/timing_seq", |b| {
-        b.iter(|| black_box(run(Threads::sequential())))
-    });
-    c.bench_function("sim/timing_par", |b| {
-        b.iter(|| black_box(run(Threads::Auto)))
+        b.iter(|| black_box(sim.run(&src, &launch, res)))
     });
 }
 

@@ -289,9 +289,9 @@ impl<'a> FunctionalSim<'a> {
         crate::engine::SimEngine::new(self.num_threads).run(self, gmem)
     }
 
-    /// Execute a single block (used by the timing simulator's lazy trace
-    /// sources). Statistics accumulate into `stats`; `stats.blocks` is
-    /// *not* advanced.
+    /// Execute a single block (how a homogeneous grid's one representative
+    /// trace, and the microbenchmarks' traces, are collected). Statistics
+    /// accumulate into `stats`; `stats.blocks` is *not* advanced.
     ///
     /// # Errors
     ///

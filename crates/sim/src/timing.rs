@@ -25,7 +25,6 @@
 //! Calibration constants live in [`TimingConfig::gt200`] and are justified
 //! in DESIGN.md §6.
 
-use crate::engine::{SimEngine, Threads};
 use crate::grid::LaunchConfig;
 use crate::stats::{BlockTrace, DstLatency};
 use gpa_hw::{occupancy, KernelResources, Machine};
@@ -92,69 +91,36 @@ impl Default for TimingConfig {
 /// Homogeneous grids (every block runs the same instruction stream with the
 /// same conflict degrees and transaction shapes — matmul, the tridiagonal
 /// solver, the microbenchmarks) can share one trace. Data-dependent
-/// kernels provide per-block traces, eagerly or lazily.
-pub enum TraceSource<'a> {
+/// kernels provide per-block traces.
+pub enum TraceSource {
     /// Every block replays the same trace.
     Homogeneous(Arc<BlockTrace>),
     /// `traces[b]` is block `b`'s trace.
     PerBlock(Vec<Arc<BlockTrace>>),
-    /// Traces fetched on demand (keeps memory bounded for huge grids).
-    /// Inherently stateful, so the parallel replay path falls back to
-    /// one worker for this variant.
-    Lazy(Box<dyn FnMut(u32) -> Arc<BlockTrace> + 'a>),
 }
 
-impl<'a> TraceSource<'a> {
+impl TraceSource {
     /// A [`TraceSource::PerBlock`] from already-collected traces in
     /// block-id order — the bridge from a parallel
     /// [`crate::engine::SimEngine`] run, which batches block execution per
     /// shard and returns the concatenated traces, to the timing replay.
-    pub fn from_blocks(traces: Vec<BlockTrace>) -> TraceSource<'static> {
+    pub fn from_blocks(traces: Vec<BlockTrace>) -> TraceSource {
         TraceSource::PerBlock(traces.into_iter().map(Arc::new).collect())
     }
 
-    fn fetch(&mut self, block: u32) -> Arc<BlockTrace> {
+    fn fetch(&self, block: u32) -> Arc<BlockTrace> {
         match self {
             TraceSource::Homogeneous(t) => Arc::clone(t),
             TraceSource::PerBlock(v) => Arc::clone(&v[block as usize]),
-            TraceSource::Lazy(f) => f(block),
-        }
-    }
-
-    /// A shareable immutable view for the parallel replay path; `None`
-    /// for the stateful [`TraceSource::Lazy`] variant.
-    fn view(&self) -> Option<TraceView<'_>> {
-        match self {
-            TraceSource::Homogeneous(t) => Some(TraceView::Homogeneous(t)),
-            TraceSource::PerBlock(v) => Some(TraceView::PerBlock(v)),
-            TraceSource::Lazy(_) => None,
         }
     }
 }
 
-/// Immutable, `Send + Sync` view of a [`TraceSource`] used to fetch
-/// traces from parallel cluster workers.
-#[derive(Clone, Copy)]
-enum TraceView<'s> {
-    Homogeneous(&'s Arc<BlockTrace>),
-    PerBlock(&'s [Arc<BlockTrace>]),
-}
-
-impl TraceView<'_> {
-    fn fetch(&self, block: u32) -> Arc<BlockTrace> {
-        match self {
-            TraceView::Homogeneous(t) => Arc::clone(t),
-            TraceView::PerBlock(v) => Arc::clone(&v[block as usize]),
-        }
-    }
-}
-
-impl std::fmt::Debug for TraceSource<'_> {
+impl std::fmt::Debug for TraceSource {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             TraceSource::Homogeneous(_) => f.write_str("TraceSource::Homogeneous"),
             TraceSource::PerBlock(v) => write!(f, "TraceSource::PerBlock({} blocks)", v.len()),
-            TraceSource::Lazy(_) => f.write_str("TraceSource::Lazy"),
         }
     }
 }
@@ -200,7 +166,6 @@ pub struct TimingSim<'m> {
     config: TimingConfig,
     tex_regions: Vec<(u64, u64)>,
     uniform_clusters: bool,
-    threads: Threads,
 }
 
 impl<'m> TimingSim<'m> {
@@ -211,7 +176,6 @@ impl<'m> TimingSim<'m> {
             config: TimingConfig::gt200(),
             tex_regions: Vec::new(),
             uniform_clusters: false,
-            threads: Threads::sequential(),
         }
     }
 
@@ -235,23 +199,6 @@ impl<'m> TimingSim<'m> {
         self
     }
 
-    /// Shard cluster replay across this many worker threads (clusters are
-    /// fully independent — own SMs, own shared-memory port, own memory
-    /// pipe, own texture cache). The default is the sequential walk, like
-    /// [`crate::FunctionalSim`]; the options layers above default to
-    /// auto. Output is bit-identical for every thread count: outcomes are
-    /// merged in cluster-id order. [`TraceSource::Lazy`] is stateful and
-    /// always replays on one worker.
-    pub fn set_threads(&mut self, threads: Threads) -> &mut Self {
-        self.threads = threads;
-        self
-    }
-
-    /// Configured worker-thread selector for cluster replay.
-    pub fn threads(&self) -> Threads {
-        self.threads
-    }
-
     /// Timing parameters in use.
     pub fn config(&self) -> &TimingConfig {
         &self.config
@@ -268,7 +215,7 @@ impl<'m> TimingSim<'m> {
     /// barrier counts), which indicates a bug in trace generation.
     pub fn run(
         &self,
-        source: &mut TraceSource<'_>,
+        source: &TraceSource,
         launch: &LaunchConfig,
         resources: KernelResources,
     ) -> TimingResult {
@@ -278,19 +225,13 @@ impl<'m> TimingSim<'m> {
         let occ = occupancy(self.machine, resources);
         assert!(occ.blocks > 0, "kernel does not fit on an SM");
 
-        let simulate: Vec<u32> = if self.uniform_clusters {
-            // The first cluster always has the most blocks.
-            vec![0]
-        } else {
-            (0..nclusters).collect()
-        };
+        // Under the uniform assumption only the first cluster, which
+        // always has the most blocks, is simulated.
+        let simulated = if self.uniform_clusters { 1 } else { nclusters };
 
-        let outcomes = self.run_clusters(&simulate, source, nblocks, occ.blocks);
-
-        // Deterministic merge: fold outcomes in cluster-id order (the
-        // `simulate` list is ascending and the parallel path returns one
-        // outcome per entry, in order), so the f64 accumulation below is
-        // the same sum in the same order for every thread count.
+        // Clusters share nothing (the paper's TPC: private SMs,
+        // shared-memory ports, memory pipe, texture cache), so each one is
+        // replayed on its own and the counters summed in cluster-id order.
         let mut per_cluster = vec![0.0f64; nclusters as usize];
         let mut issued = 0u64;
         let mut alu_busy = 0.0;
@@ -300,7 +241,9 @@ impl<'m> TimingSim<'m> {
         let mut tex_hits = 0u64;
         let mut tex_total = 0u64;
 
-        for (&c, r) in simulate.iter().zip(&outcomes) {
+        for c in 0..simulated {
+            let queue = ClusterQueue::new(c, nclusters, nblocks);
+            let r = self.run_cluster(queue, source, occ.blocks);
             per_cluster[c as usize] = r.end;
             issued += r.issued;
             alu_busy += r.alu_busy;
@@ -349,62 +292,6 @@ impl<'m> TimingSim<'m> {
         }
     }
 
-    /// Replay `simulate`'s clusters, sharded across the configured worker
-    /// threads, returning one [`ClusterOutcome`] per entry, in order.
-    ///
-    /// Clusters share nothing (the paper's TPC: private SMs, shared-memory
-    /// ports, memory pipe, texture cache), so each worker replays a
-    /// contiguous shard of the cluster list and the results concatenate
-    /// into exactly the sequence the sequential walk would produce.
-    fn run_clusters(
-        &self,
-        simulate: &[u32],
-        source: &mut TraceSource<'_>,
-        nblocks: u32,
-        blocks_per_sm: u32,
-    ) -> Vec<ClusterOutcome> {
-        let nclusters = self.machine.num_clusters();
-        let workers = match source.view() {
-            // A stateful fetch closure cannot be shared across workers.
-            None => 1,
-            Some(_) => self.threads.count().min(simulate.len()).max(1),
-        };
-        if workers <= 1 {
-            return simulate
-                .iter()
-                .map(|&c| {
-                    let queue = ClusterQueue::new(c, nclusters, nblocks);
-                    let mut fetch = |b: u32| source.fetch(b);
-                    self.run_cluster(queue, &mut fetch, blocks_per_sm)
-                })
-                .collect();
-        }
-        let view = source.view().expect("checked above");
-        let plan = SimEngine::shard_plan(simulate.len() as u32, workers);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = plan
-                .into_iter()
-                .map(|shard| {
-                    let shard = &simulate[shard.start as usize..shard.end as usize];
-                    scope.spawn(move || {
-                        shard
-                            .iter()
-                            .map(|&c| {
-                                let queue = ClusterQueue::new(c, nclusters, nblocks);
-                                let mut fetch = |b: u32| view.fetch(b);
-                                self.run_cluster(queue, &mut fetch, blocks_per_sm)
-                            })
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("timing worker panicked"))
-                .collect()
-        })
-    }
-
     /// The SM's earliest-issuable warp: minimum issue time over resident
     /// warps, ties broken by loose round-robin distance from the SM's
     /// rotation pointer (greedy earliest-first alone phase-locks warps
@@ -449,7 +336,7 @@ impl<'m> TimingSim<'m> {
     fn run_cluster(
         &self,
         queue: ClusterQueue,
-        fetch: &mut dyn FnMut(u32) -> Arc<BlockTrace>,
+        source: &TraceSource,
         blocks_per_sm: u32,
     ) -> ClusterOutcome {
         let cfg = &self.config;
@@ -474,7 +361,7 @@ impl<'m> TimingSim<'m> {
                 if next_block >= queue.len() {
                     break 'fill;
                 }
-                let trace = fetch(queue.get(next_block));
+                let trace = source.fetch(queue.get(next_block));
                 sm.blocks.push(BlockRun::new(trace, 0.0, &mut warp_pool));
                 next_block += 1;
             }
@@ -614,7 +501,7 @@ impl<'m> TimingSim<'m> {
                 retired.warps.clear();
                 warp_pool.push(retired.warps);
                 if next_block < queue.len() {
-                    let trace = fetch(queue.get(next_block));
+                    let trace = source.fetch(queue.get(next_block));
                     next_block += 1;
                     sm.blocks.push(BlockRun::new(
                         trace,
